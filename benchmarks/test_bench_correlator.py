@@ -2,15 +2,15 @@
 
 Three tiers of the same pipeline, slowest to fastest:
 
-* *seed mode* -- the unpruned per-entry path (``prune_lookback=False``,
-  ``columnar_ingest=False``): every open rescans every file ever seen,
-  exactly the historical behaviour;
-* *reference engine* -- per-entry dict/object path with the lookback
-  bounded by M (``columnar_ingest=False``), the oracle the equivalence
-  suite compares against;
-* *columnar engine* (the default) -- the fused arena hot path of
-  :mod:`repro.core.arena`: interned ids, one pass per open that
-  computes distances and updates neighbor rows in place.
+* *seed mode* -- the reference engine of ``tests/oracle.py`` with
+  pruning and compensation off: every open rescans every file ever
+  seen, exactly the historical behaviour;
+* *reference engine* -- the same per-entry dict/object path with the
+  lookback bounded by M, the oracle the equivalence suite compares
+  against;
+* *columnar engine* (production's only engine) -- the fused arena hot
+  path of :mod:`repro.core.arena`: interned ids, one pass per open
+  that computes distances and updates neighbor rows in place.
 
 The committed trajectory requires the columnar engine to ingest at
 least ten times faster than seed mode on the full trace
@@ -32,6 +32,7 @@ import time
 from benchmarks.perf_record import write_record
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.parameters import SeerParameters
+from tests.oracle import ReferenceCorrelator
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -96,8 +97,7 @@ def synthetic_trace(count, seed=1):
     return events
 
 
-def ingest_rate(events, parameters):
-    correlator = Correlator(parameters, seed=1)
+def ingest_rate(events, correlator):
     start = time.perf_counter()
     for reference in events:
         correlator.handle(reference)
@@ -107,17 +107,17 @@ def ingest_rate(events, parameters):
 
 def test_ingest_throughput_speedup(output_dir):
     events = synthetic_trace(FAST_EVENTS)
-    fast_params = SeerParameters(**BENCH_PARAMETERS)   # columnar arena
-    reference_params = fast_params.with_changes(columnar_ingest=False)
-    seed_params = reference_params.with_changes(prune_lookback=False,
-                                                emit_compensation=False)
+    parameters = SeerParameters(**BENCH_PARAMETERS)
 
     # Warm-up pass keeps allocator/caching noise out of the comparison.
-    ingest_rate(events[:1_000], fast_params)
+    ingest_rate(events[:1_000], Correlator(parameters))
 
-    fast_rate, fast = ingest_rate(events, fast_params)
-    reference_rate, reference = ingest_rate(events, reference_params)
-    seed_rate, _ = ingest_rate(events[:SLOW_EVENTS], seed_params)
+    fast_rate, fast = ingest_rate(events, Correlator(parameters))
+    reference_rate, reference = ingest_rate(
+        events, ReferenceCorrelator(parameters))
+    seed_rate, _ = ingest_rate(
+        events[:SLOW_EVENTS],
+        ReferenceCorrelator(parameters, prune=False, compensate=False))
     speedup_vs_seed = fast_rate / seed_rate
     speedup_vs_reference = fast_rate / reference_rate
 
@@ -163,9 +163,11 @@ def test_ingest_throughput_speedup(output_dir):
 def test_pruned_ingestion_equivalent_on_prefix():
     """Sanity: pruning alone does not change what the store learns."""
     events = synthetic_trace(2_000 if SMOKE else 4_000)
-    base = SeerParameters(emit_compensation=False, **BENCH_PARAMETERS)
-    _, pruned = ingest_rate(events, base.with_changes(prune_lookback=True))
-    _, unpruned = ingest_rate(events, base.with_changes(prune_lookback=False))
+    parameters = SeerParameters(**BENCH_PARAMETERS)
+    _, pruned = ingest_rate(events, ReferenceCorrelator(
+        parameters, prune=True, compensate=False))
+    _, unpruned = ingest_rate(events, ReferenceCorrelator(
+        parameters, prune=False, compensate=False))
     assert pruned.store.neighbor_lists() == unpruned.store.neighbor_lists()
     for file in pruned.store.files():
         assert (dict(pruned.store.table(file).items())
@@ -174,7 +176,7 @@ def test_pruned_ingestion_equivalent_on_prefix():
 
 def test_metrics_capture_pipeline_activity():
     events = synthetic_trace(2_000)
-    _, correlator = ingest_rate(events, SeerParameters())
+    _, correlator = ingest_rate(events, Correlator(SeerParameters()))
     snapshot = correlator.metrics.snapshot()
     assert snapshot["correlator.ingest.count"] == 2_000
     assert snapshot["correlator.ingest.per_second"] > 0

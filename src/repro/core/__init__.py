@@ -18,12 +18,10 @@ from repro.core.clustering import (
     ClusterSet,
     Relation,
     SharedNeighborClustering,
-    cluster_neighbor_store,
 )
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.distance import (
     DistanceSummary,
-    LifetimeDistanceCalculator,
     RefKind,
     Reference,
     SequenceDistanceCalculator,
@@ -38,7 +36,6 @@ from repro.core.hoard import (
     MissSeverity,
     rank_clusters,
 )
-from repro.core.neighbors import NeighborStore, NeighborTable
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
 from repro.core.recluster import IncrementalClusterer
 from repro.core.seer import Seer
@@ -57,11 +54,8 @@ __all__ = [
     "HoardManager",
     "HoardMiss",
     "HoardSelection",
-    "LifetimeDistanceCalculator",
     "MissLog",
     "MissSeverity",
-    "NeighborStore",
-    "NeighborTable",
     "ObservedReference",
     "RefKind",
     "Reference",
@@ -70,7 +64,6 @@ __all__ = [
     "SeerParameters",
     "SequenceDistanceCalculator",
     "SharedNeighborClustering",
-    "cluster_neighbor_store",
     "opens",
     "rank_clusters",
     "temporal_distances",

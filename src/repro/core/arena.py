@@ -1,13 +1,13 @@
-"""Columnar neighbor arena: the fused correlator ingest hot path.
+"""Columnar neighbor arena: the correlator's ingest engine.
 
-The reference pipeline walks three object layers per observed pair --
-``LifetimeDistanceCalculator`` emits ``(from, to, distance)`` tuples,
-``NeighborStore.observe`` routes each through a ``NeighborTable``, and
-``DistanceSummary`` objects accumulate the running means.  At
-production rates the attribute lookups, tuple allocation and method
-dispatch dominate the arithmetic by an order of magnitude.
-
-This module re-architects that state as a columnar arena:
+The paper's formulation walks three object layers per observed pair --
+a per-process lifetime-distance calculator emits ``(from, to,
+distance)`` tuples, a neighbor store routes each through a per-file
+table, and ``DistanceSummary`` objects accumulate the running means.
+At production rates the attribute lookups, tuple allocation and
+method dispatch dominate the arithmetic by an order of magnitude.
+That transcription survives as the test oracle (``tests/oracle.py``);
+this module is the one production engine:
 
 * **Interning.**  Every path is interned once to a dense integer file
   id (fid).  The hot loop compares and hashes small ints, never path
@@ -20,41 +20,28 @@ This module re-architects that state as a columnar arena:
   dict probe returns the mutable entry; an update is five C-level item
   writes with zero allocation.  ``mean_cache`` is ``-1.0`` when stale,
   mirroring the summary's invalidate-on-add caching, so victim scans
-  are bit-identical to the reference path.
+  are bit-identical to the oracle.
 
 * **Fused scan.**  :class:`ColumnarEngine` folds the per-process
   lifetime-distance scan and the arena update into a single loop: the
   distance of each emitted pair is consumed in place instead of being
   materialized as a tuple list and re-dispatched.
 
-* **Columnar snapshots.**  :meth:`NeighborArena.columnar` flattens the
-  arena into parallel numpy arrays (owner fid, neighbor fid, count,
-  log sum, linear sum, last update) for whole-store queries; the
-  stale-link filter used by clustering is a single vectorized mask
-  over the ``last_update`` column instead of a per-entry Python scan.
-
 Determinism contract (fenced by ``tests/core/test_equivalence.py``):
 for any event stream, the arena reaches *exactly* the state of the
-reference ``NeighborStore`` path -- same entries, same float sums,
-same eviction victims, same recency.  Two properties make this
-possible: within one open every updated row belongs to a distinct
-owner, so fusing cannot reorder updates to a single table; and
-eviction victims are a pure function of table state (no rng -- see
-``NeighborTable._choose_victim``), so batching cannot desynchronize a
-random stream.  Per-pair numpy mutation was measured and rejected:
-update batches here are small (tens of entries across distinct rows),
-where ufunc dispatch costs more than the scalar loop it replaces;
-numpy earns its keep on the whole-arena query paths instead.  See
-``docs/hot-path.md`` for layout diagrams and measurements.
+oracle -- same entries, same float sums, same eviction victims, same
+recency.  Two properties make this possible: within one open every
+updated row belongs to a distinct owner, so fusing cannot reorder
+updates to a single table; and eviction victims are a pure function
+of table state (no rng), so batching cannot desynchronize a random
+stream.  See ``docs/hot-path.md`` for layout diagrams and
+measurements.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Iterator, List, MutableSet, Optional, Set, Tuple
-
-import numpy as np
-import numpy.typing as npt
 
 from repro.core.distance import DistanceSummary
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
@@ -77,11 +64,11 @@ class NeighborArena:
         self._fids: Dict[str, int] = {}
         self._paths: List[str] = []
         #: fid -> {neighbor fid -> Entry}; insertion order of rows
-        #: matches the reference store's table-creation order.
+        #: matches the oracle store's table-creation order.
         self._rows: Dict[int, Dict[int, Entry]] = {}
-        #: Incremental per-row bounds (see NeighborTable): an upper
-        #: bound on the largest mean, a lower bound on the oldest
-        #: last_update.  Only replacement decisions consult them.
+        #: Incremental per-row bounds: an upper bound on the largest
+        #: mean, a lower bound on the oldest last_update.  Only
+        #: replacement decisions consult them.
         self._bound: Dict[int, float] = {}
         self._oldest: Dict[int, float] = {}
         #: Reverse index: fid -> owner fids whose rows list it.
@@ -141,7 +128,7 @@ class NeighborArena:
     # ------------------------------------------------------------------
     def choose_victim(self, owner: int, row: Dict[int, Entry],
                       candidate_distance: float, now: int) -> Optional[int]:
-        """Three-rule replacement, mirroring ``NeighborTable._choose_victim``.
+        """The three-rule replacement priority of section 3.1.3.
 
         Every choice is a pure function of table state: rule 1 and the
         rule-2 tie both break to the smallest *path* (not fid, so the
@@ -203,7 +190,7 @@ class NeighborArena:
     # ------------------------------------------------------------------
     def update(self, owner: int, neighbor: int, distance: float,
                now: int) -> bool:
-        """Record one observed distance; replicates ``NeighborTable.observe``."""
+        """Record one observed distance (compensation, then replacement)."""
         if distance > self._parameters.lookback_window:
             distance = float(self._parameters.compensation_distance)
             if self._metrics is not None:
@@ -272,7 +259,7 @@ class NeighborArena:
         self._dirty.add(owner)
 
     # ------------------------------------------------------------------
-    # rename / remove (paper section 4.8), mirroring NeighborStore
+    # rename / remove (paper section 4.8)
     # ------------------------------------------------------------------
     def rename_file(self, old: str, new: str) -> None:
         if old == new:
@@ -353,55 +340,19 @@ class NeighborArena:
         self._dirty.add(fid)
         self._deletable.discard(fid)
 
-    # ------------------------------------------------------------------
-    # columnar snapshots (the numpy query layer)
-    # ------------------------------------------------------------------
-    def columnar(self) -> Dict[str, npt.NDArray[np.float64]]:
-        """Flatten the arena into parallel arrays, one slot per entry.
-
-        Columns: ``owner``, ``neighbor`` (fids), ``count``,
-        ``log_sum``, ``linear_sum``, ``last_update``.  All float64 so
-        one allocation pattern serves every column; counts and fids
-        are integral-valued.  This is the bulk-query surface: staleness
-        masks, persistence export and analysis scans operate on these
-        arrays instead of per-entry Python objects.
-        """
-        total = sum(len(row) for row in self._rows.values())
-        owner = np.empty(total, dtype=np.float64)
-        neighbor = np.empty(total, dtype=np.float64)
-        count = np.empty(total, dtype=np.float64)
-        log_sum = np.empty(total, dtype=np.float64)
-        linear_sum = np.empty(total, dtype=np.float64)
-        last_update = np.empty(total, dtype=np.float64)
-        slot = 0
-        for fid, row in self._rows.items():
-            for nfid, entry in row.items():
-                owner[slot] = fid
-                neighbor[slot] = nfid
-                count[slot] = entry[0]
-                log_sum[slot] = entry[1]
-                linear_sum[slot] = entry[2]
-                last_update[slot] = entry[3]
-                slot += 1
-        return {"owner": owner, "neighbor": neighbor, "count": count,
-                "log_sum": log_sum, "linear_sum": linear_sum,
-                "last_update": last_update}
-
     def fresh_neighbor_lists(self, cutoff: int) -> Dict[str, Set[str]]:
-        """Stale-link filtering as a vectorized mask (section 3.1.3).
+        """Stale-link filtering (section 3.1.3).
 
         Entries not reinforced since *cutoff* are omitted; owners left
-        with no fresh entries are omitted entirely, matching
-        ``NeighborStore.neighbor_lists``.
+        with no fresh entries are omitted entirely.
         """
-        columns = self.columnar()
-        mask = columns["last_update"] >= cutoff
-        owners = columns["owner"][mask].astype(np.int64)
-        neighbors = columns["neighbor"][mask].astype(np.int64)
         paths = self._paths
         lists: Dict[str, Set[str]] = {}
-        for fid, nfid in zip(owners.tolist(), neighbors.tolist()):
-            lists.setdefault(paths[fid], set()).add(paths[nfid])
+        for fid, row in self._rows.items():
+            fresh = {paths[nfid] for nfid, entry in row.items()
+                     if entry[3] >= cutoff}
+            if fresh:
+                lists[paths[fid]] = fresh
         return lists
 
 
@@ -436,8 +387,7 @@ class _MarkedSetView(MutableSet[str]):
 
 
 class ArenaTable:
-    """Read/update view of one arena row, API-compatible with
-    :class:`~repro.core.neighbors.NeighborTable`."""
+    """Read/update view of one arena row: one file's neighbor table."""
 
     __slots__ = ("_arena", "_fid")
 
@@ -516,8 +466,8 @@ class ArenaTable:
 
 
 class ArenaStore:
-    """Path-level facade over the arena, API-compatible with
-    :class:`~repro.core.neighbors.NeighborStore`."""
+    """Path-level facade over the arena: the correlator's neighbor store
+    (persistence, hoarding and extensions read it by path)."""
 
     def __init__(self, arena: NeighborArena) -> None:
         self._arena = arena
@@ -602,9 +552,6 @@ class ArenaStore:
         arena._dirty.clear()
         return drained
 
-    def columnar(self) -> Dict[str, npt.NDArray[np.float64]]:
-        return self._arena.columnar()
-
 
 class _EngineStream:
     """Per-process lifetime-distance state, fid-keyed (section 4.7)."""
@@ -620,13 +567,14 @@ class _EngineStream:
 class ColumnarEngine:
     """Fused per-process distance scan + arena update (the hot loop).
 
-    Implements the same narrow interface as the correlator's reference
-    engine: per-pid streams with fork/exit inheritance, open/close/
-    point reference ingestion, rename re-keying and forget.  The open
-    loop is a hand-fused copy of ``LifetimeDistanceCalculator.open``
-    feeding ``NeighborArena.update`` without intermediate tuples; its
-    semantics are pinned entry-for-entry to the reference path by the
-    fast==reference differential suite.
+    The correlator's narrow engine interface: per-pid streams with
+    fork/exit inheritance, open/close/point reference ingestion, rename
+    re-keying and forget.  The open loop is the lifetime-distance scan
+    of Definition 3 (section 3.1.1) fused with ``NeighborArena.update``
+    without intermediate tuples; it always prunes aged-out entries and
+    emits their compensation distance once (section 3.1.3).  Its
+    semantics are pinned entry-for-entry to the oracle in
+    ``tests/oracle.py`` by the columnar==reference differential suite.
     """
 
     def __init__(self, arena: NeighborArena,
@@ -638,9 +586,6 @@ class ColumnarEngine:
         self._lookback = parameters.lookback_window
         self._compensation = float(parameters.compensation_distance)
         self._cap = parameters.max_neighbors
-        self._prune = parameters.prune_lookback
-        self._compensate = parameters.emit_compensation
-        self._threshold = parameters.aging_threshold
 
     # ------------------------------------------------------------------
     # stream lifecycle
@@ -732,13 +677,10 @@ class ColumnarEngine:
                     # it can never re-enter the window -- and emit its
                     # distance once, which the arena records clamped
                     # to the compensation distance.
-                    if self._prune:
-                        if aged is None:
-                            aged = [other]
-                        else:
-                            aged.append(other)
-                    if not self._compensate:
-                        continue
+                    if aged is None:
+                        aged = [other]
+                    else:
+                        aged.append(other)
                     compensated += 1
                     distance = compensation
                 else:

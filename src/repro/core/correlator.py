@@ -12,40 +12,30 @@ correlator (paper section 2) maintains:
   identity (section 4.8);
 * recency bookkeeping used by hoard ranking and by the LRU baseline.
 
-The distance/neighbor state lives behind a narrow *engine* interface
-with two implementations selected by ``SeerParameters.columnar_ingest``:
-
-* :class:`_ReferenceEngine` (here): one
-  :class:`LifetimeDistanceCalculator` per process feeding a
-  :class:`NeighborStore` of per-entry ``DistanceSummary`` objects --
-  the straightforward transcription of the paper, kept as the oracle;
-* :class:`~repro.core.arena.ColumnarEngine`: the fused hot path over
-  the interned :class:`~repro.core.arena.NeighborArena`.
-
-Both must produce byte-identical state for any event stream; the
-differential property suite in ``tests/core/test_equivalence.py``
-enforces it.  Event sequencing, recency, delayed deletion and cluster
-building are engine-agnostic and implemented once, here.
+The distance/neighbor state lives in one ingest engine,
+:class:`~repro.core.arena.ColumnarEngine`, over the interned
+:class:`~repro.core.arena.NeighborArena`.  Event sequencing, recency,
+delayed deletion and cluster building are engine-agnostic and
+implemented here.  The paper's formulation transcribed directly --
+per-process calculators feeding per-entry neighbor tables -- lives in
+``tests/oracle.py`` as the differential oracle; it plugs in by
+overriding :meth:`Correlator._build_engine`, and
+``tests/core/test_equivalence.py`` holds the two to byte-identical
+state for any event stream.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.arena import ArenaStore, ColumnarEngine, NeighborArena
-from repro.core.clustering import ClusterSet, Relation, SharedNeighborClustering
-from repro.core.distance import LifetimeDistanceCalculator
-from repro.core.neighbors import NeighborStore
+from repro.core.clustering import ClusterSet, Relation
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
 from repro.core.recluster import IncrementalClusterer
 from repro.fs.paths import directory_distance
 from repro.observability import Metrics
-
-#: Both store implementations expose the same path-level API; consumers
-#: (persistence, hoarding, extensions) treat them interchangeably.
-StoreLike = Union[NeighborStore, ArenaStore]
 
 
 class Action(enum.Enum):
@@ -99,97 +89,14 @@ class _PendingDeletion:
     deletion_number: int
 
 
-class _ReferenceEngine:
-    """The oracle ingest engine: per-pid calculators over a NeighborStore.
-
-    Distances are materialized as ``(from, to, distance)`` tuples and
-    re-dispatched through ``NeighborStore.observe`` one at a time --
-    exactly the paper's formulation, at per-entry object cost.  The
-    columnar engine must match this path's state bit for bit.
-    """
-
-    def __init__(self, store: NeighborStore, parameters: SeerParameters,
-                 metrics: Metrics) -> None:
-        self._store = store
-        self._parameters = parameters
-        self._metrics = metrics
-        self._calculators: Dict[int, LifetimeDistanceCalculator] = {}
-
-    def _new_calculator(self) -> LifetimeDistanceCalculator:
-        return LifetimeDistanceCalculator(
-            lookback_window=self._parameters.lookback_window,
-            prune=self._parameters.prune_lookback,
-            compensate=self._parameters.emit_compensation,
-            metrics=self._metrics)
-
-    def _calculator(self, pid: int) -> LifetimeDistanceCalculator:
-        calculator = self._calculators.get(pid)
-        if calculator is None:
-            calculator = self._calculators[pid] = self._new_calculator()
-        return calculator
-
-    def ensure(self, pid: int) -> None:
-        self._calculator(pid)
-
-    def fork(self, pid: int, ppid: int) -> int:
-        if ppid:
-            calculator = self._calculator(ppid).clone()
-        else:
-            calculator = self._new_calculator()
-        self._calculators[pid] = calculator
-        return calculator.opens_processed
-
-    def exit(self, pid: int, merge_ppid: int, since: int) -> None:
-        calculator = self._calculators.pop(pid, None)
-        if calculator is None or not merge_ppid:
-            return
-        parent = self._calculators.get(merge_ppid)
-        if parent is not None:
-            parent.merge_from(calculator, since=since)
-
-    def open(self, pid: int, path: str, now: int) -> None:
-        self._ingest(self._calculator(pid).open(path), now)
-
-    def point(self, pid: int, path: str, now: int) -> None:
-        self._ingest(self._calculator(pid).point_reference(path), now)
-
-    def close(self, pid: int, path: str) -> None:
-        self._calculator(pid).close(path)
-
-    def rename(self, old: str, new: str) -> None:
-        for calculator in self._calculators.values():
-            calculator.rename(old, new)
-
-    def forget(self, path: str) -> None:
-        for calculator in self._calculators.values():
-            calculator.forget(path)
-
-    def _ingest(self, distances: List[Tuple[str, str, int]], now: int) -> None:
-        if distances:
-            self._metrics.incr("correlator.distances_ingested", len(distances))
-        for from_file, to_file, distance in distances:
-            self._store.observe(from_file, to_file, float(distance), now=now)
-
-
 class Correlator:
     """Consumes :class:`ObservedReference` events, maintains relationships."""
 
     def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
-                 seed: int = 0, metrics: Optional[Metrics] = None) -> None:
+                 metrics: Optional[Metrics] = None) -> None:
         self._parameters = parameters
         self.metrics = metrics if metrics is not None else Metrics()
-        self.store: StoreLike
-        self._engine: Union[_ReferenceEngine, ColumnarEngine]
-        if parameters.columnar_ingest:
-            arena = NeighborArena(parameters, metrics=self.metrics)
-            self.store = ArenaStore(arena)
-            self._engine = ColumnarEngine(arena, parameters,
-                                          metrics=self.metrics)
-        else:
-            self.store = NeighborStore(parameters, seed=seed,
-                                       metrics=self.metrics)
-            self._engine = _ReferenceEngine(self.store, parameters,
-                                            self.metrics)
+        self.store, self._engine = self._build_engine()
         self._clusterer = IncrementalClusterer(parameters, self.metrics)
         self._prev_exclude: FrozenSet[str] = frozenset()
         self._streams: Dict[int, _ProcessStream] = {}
@@ -199,6 +106,12 @@ class Correlator:
         self._deletion_counter = 0
         self._pending_deletions: List[_PendingDeletion] = []
         self.references_processed = 0
+
+    def _build_engine(self) -> Tuple[ArenaStore, ColumnarEngine]:
+        """The neighbor store and the ingest engine that feeds it."""
+        arena = NeighborArena(self._parameters, metrics=self.metrics)
+        return (ArenaStore(arena),
+                ColumnarEngine(arena, self._parameters, metrics=self.metrics))
 
     # ------------------------------------------------------------------
     # public read API
@@ -232,20 +145,20 @@ class Correlator:
         so a shared library cannot act as a bridge that merges all
         projects into one giant cluster.
 
-        With ``parameters.incremental_recluster`` (and no stale-link
-        cutoff, whose effective neighbor sets shift with every
-        reference), builds after the first splice in only the
-        neighborhoods dirtied since the previous build instead of
-        re-running Jarvis-Patrick over the whole population -- O(dirty)
-        between hoard walks, with byte-identical output (see
-        :mod:`repro.core.recluster` for the replay argument).
+        Builds after the first splice in only the neighborhoods dirtied
+        since the previous build instead of re-running Jarvis-Patrick
+        over the whole population -- O(dirty) between hoard walks, with
+        byte-identical output (see :mod:`repro.core.recluster` for the
+        replay argument).  A stale-link cutoff shifts the effective
+        neighbor sets with every reference, so under one every build
+        is a full pass.
         """
         with self.metrics.timed("correlator.cluster_build"):
             distance_fn = directory_distance if use_directory_distance else None
-            if self._parameters.stale_link_cutoff > 0:
+            stale_after = self._parameters.stale_link_cutoff
+            if stale_after > 0:
                 neighbor_lists = self.store.neighbor_lists(
-                    now=self._reference_counter,
-                    stale_after=self._parameters.stale_link_cutoff)
+                    now=self._reference_counter, stale_after=stale_after)
             else:
                 neighbor_lists = self.store.neighbor_lists()
             if exclude:
@@ -253,32 +166,27 @@ class Correlator:
                     file: neighbors - exclude
                     for file, neighbors in neighbor_lists.items()
                     if file not in exclude}
-            if (self._parameters.incremental_recluster
-                    and self._parameters.stale_link_cutoff == 0):
-                dirty = self.store.drain_dirty()
-                exclude_set = frozenset(exclude) if exclude else frozenset()
-                if exclude_set != self._prev_exclude:
-                    # Exclusion changes rewrite filtered lists without
-                    # touching the store: fold the delta into the dirty
-                    # set so the splice reprocesses affected files.  A
-                    # toggled file's neighbors are affected too -- their
-                    # very membership in the clustering universe can
-                    # hinge on the toggled file's list being visible.
-                    for file in exclude_set ^ self._prev_exclude:
-                        dirty.add(file)
-                        dirty |= self.store.containing(file)
-                        dirty |= self.store.neighbor_set(file)
-                    self._prev_exclude = exclude_set
-                return self._clusterer.build(
-                    neighbor_lists, dirty,
-                    parameters=self._parameters, relations=relations,
-                    directory_distance=distance_fn,
-                    owners_of=self.store.containing)
-            self.store.drain_dirty()   # keep the dirty set bounded
-            algorithm = SharedNeighborClustering(
-                neighbor_lists, parameters=self._parameters,
-                relations=relations, directory_distance=distance_fn)
-            return algorithm.cluster()
+            dirty = self.store.drain_dirty()
+            exclude_set = frozenset(exclude) if exclude else frozenset()
+            if exclude_set != self._prev_exclude:
+                # Exclusion changes rewrite filtered lists without
+                # touching the store: fold the delta into the dirty set
+                # so the splice reprocesses affected files.  A toggled
+                # file's neighbors are affected too -- their very
+                # membership in the clustering universe can hinge on
+                # the toggled file's list being visible.
+                for file in exclude_set ^ self._prev_exclude:
+                    dirty.add(file)
+                    dirty |= self.store.containing(file)
+                    dirty |= self.store.neighbor_set(file)
+                self._prev_exclude = exclude_set
+            # Stale filtering changes lists without dirtying them;
+            # withholding the reverse index makes the build a full pass.
+            return self._clusterer.build(
+                neighbor_lists, dirty,
+                parameters=self._parameters, relations=relations,
+                directory_distance=distance_fn,
+                owners_of=None if stale_after > 0 else self.store.containing)
 
     # ------------------------------------------------------------------
     # event handling

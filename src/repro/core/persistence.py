@@ -12,7 +12,7 @@ deployment survives restarts without relearning months of behaviour.
 from __future__ import annotations
 
 import json
-from typing import Dict
+from typing import Any, Dict, Optional
 
 from repro.core.correlator import Correlator
 from repro.core.distance import DistanceSummary
@@ -52,16 +52,21 @@ def dump_correlator(correlator: Correlator) -> Dict:
     }
 
 
-def load_correlator(data: Dict,
-                    parameters: SeerParameters = None,
-                    seed: int = 0) -> Correlator:
+def load_correlator(data: Dict[str, Any],
+                    parameters: Optional[SeerParameters] = None) -> Correlator:
     """Reconstruct a correlator from :func:`dump_correlator` output."""
-    if data.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unsupported database format: {data.get('format')!r}")
     if parameters is None:
         from repro.core.parameters import DEFAULT_PARAMETERS
         parameters = DEFAULT_PARAMETERS
-    correlator = Correlator(parameters, seed=seed)
+    return restore_correlator(Correlator(parameters), data)
+
+
+def restore_correlator(correlator: Correlator,
+                       data: Dict[str, Any]) -> Correlator:
+    """Load :func:`dump_correlator` output into a freshly built
+    *correlator* (whatever its engine) and return it."""
+    if data.get("format") != FORMAT_VERSION:
+        raise ValueError(f"unsupported database format: {data.get('format')!r}")
     correlator.references_processed = data["references_processed"]
     correlator._reference_counter = data["reference_counter"]
     correlator._deletion_counter = data["deletion_counter"]
@@ -89,8 +94,8 @@ def save_database(correlator: Correlator, path: str) -> None:
         json.dump(dump_correlator(correlator), stream)
 
 
-def load_database(path: str, parameters: SeerParameters = None,
-                  seed: int = 0) -> Correlator:
+def load_database(path: str,
+                  parameters: Optional[SeerParameters] = None) -> Correlator:
     """Load a correlator database saved by :func:`save_database`."""
     with open(path, "r", encoding="utf-8") as stream:
-        return load_correlator(json.load(stream), parameters, seed=seed)
+        return load_correlator(json.load(stream), parameters)

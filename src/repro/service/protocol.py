@@ -26,6 +26,7 @@ batch replay, which is why the daemon and the batch helper in
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -134,12 +135,18 @@ def reference_from_wire(data: object) -> ObservedReference:
         raise ProtocolError("bad-event",
                             f"event must be a 7-element array, got {data!r}")
     seq, time, pid, action, path, path2, ppid = data
-    if not isinstance(seq, int) or not isinstance(pid, int) or \
-            not isinstance(ppid, int):
+    if not all(isinstance(field, int) and not isinstance(field, bool)
+               for field in (seq, pid, ppid)):
         raise ProtocolError("bad-event",
                             f"seq/pid/ppid must be integers in {data!r}")
-    if not isinstance(time, (int, float)) or isinstance(time, bool):
-        raise ProtocolError("bad-event", f"time must be a number in {data!r}")
+    if seq < 1:
+        # Seqs start at 1: the dedupe cursor starts at 0, so a seq of 0
+        # or below would be dropped as a redelivery yet acknowledged.
+        raise ProtocolError("bad-event", f"seq must be >= 1 in {data!r}")
+    if not isinstance(time, (int, float)) or isinstance(time, bool) \
+            or not math.isfinite(time):
+        raise ProtocolError("bad-event",
+                            f"time must be a finite number in {data!r}")
     if not isinstance(path, str) or not isinstance(path2, str):
         raise ProtocolError("bad-event", f"paths must be strings in {data!r}")
     try:

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import _coerce, build_parser, main
 
 
@@ -18,6 +23,18 @@ class TestParser:
         assert _coerce("10") == 10 and isinstance(_coerce("10"), int)
         assert _coerce("0.5") == 0.5
         assert _coerce("abc") == "abc"
+
+
+def test_cli_import_loads_no_third_party_numerics():
+    """The package runs on the standard library: a cold ``import
+    repro.cli`` pulls in neither numpy nor scipy."""
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    probe = ("import sys, repro.cli; "
+             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestCommands:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.parameters import SeerParameters
+from tests.oracle import ReferenceCorrelator
 
 
 def make_correlator(**overrides):
@@ -264,10 +265,12 @@ class TestCompensation:
         assert correlator.metrics.counter("distance.pruned_entries") > 0
 
     def test_seed_mode_drops_over_window_pairs(self):
-        correlator = make_correlator(lookback_window=3,
-                                     compensation_distance=7,
-                                     prune_lookback=False,
-                                     emit_compensation=False)
+        # The historical unbounded scan survives only in the reference
+        # engine's seed mode, the benchmarks' baseline.
+        correlator = ReferenceCorrelator(
+            SeerParameters(delete_delay=3, lookback_window=3,
+                           compensation_distance=7),
+            prune=False, compensate=False)
         driver = Driver(correlator)
         driver.send(1, Action.POINT, "/a")
         for index in range(4):

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from repro.core.distance import (
     DistanceSummary,
-    LifetimeDistanceCalculator,
     RefKind,
     Reference,
     SequenceDistanceCalculator,
     opens,
     temporal_distances,
 )
+from tests.oracle import LifetimeDistanceCalculator
 
 
 def as_dict(pairs):

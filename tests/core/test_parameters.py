@@ -1,5 +1,7 @@
 """Tests for parameter validation (paper section 4.9)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
@@ -19,6 +21,23 @@ class TestDefaults:
 
     def test_geometric_mean_default(self):
         assert DEFAULT_PARAMETERS.use_geometric_mean
+
+    def test_field_set_is_the_papers_knobs(self):
+        # One ingest engine and one cluster-build path: the parameters
+        # hold the algorithms' knobs only, never implementation
+        # switches.  Adding a field changes every parameter-hashed
+        # checkpoint key, so the set is pinned.
+        assert [field.name for field in dataclasses.fields(SeerParameters)] \
+            == [
+                "max_neighbors", "lookback_window", "compensation_distance",
+                "aging_threshold", "stale_link_cutoff", "use_geometric_mean",
+                "kn", "kf", "directory_distance_weight",
+                "investigator_weight", "normalize_shared_counts",
+                "kn_fraction", "kf_fraction", "frequent_file_fraction",
+                "frequent_file_minimum_accesses", "meaningless_touch_ratio",
+                "meaningless_min_potential", "delete_delay",
+                "minimum_disconnection_seconds",
+            ]
 
 
 class TestValidation:

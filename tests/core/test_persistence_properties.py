@@ -1,9 +1,9 @@
-"""Property: the database round-trips exactly under the hot-path flags.
+"""Property: the database round-trips exactly under the hot path.
 
-PR 1 added lookback pruning (``prune_lookback``) and age-out
-compensation (``emit_compensation``) to the distance pipeline; both
-reshape what lands in the neighbor tables.  Whatever stream was
-ingested and whatever those flags produced, ``dump_correlator`` ->
+The ingest engine prunes aged-out lookback entries and emits their
+compensation distance once (section 3.1.3); both reshape what lands in
+the neighbor tables.  Whatever stream was ingested and whatever those
+rules produced, ``dump_correlator`` ->
 ``load_correlator`` must reproduce the neighbor tables (counts, sums,
 update stamps and hence distances) and the recency state exactly.
 """
@@ -38,7 +38,6 @@ def ingest(stream, parameters):
 def test_round_trip_with_pruning_flags_enabled(stream, lookback,
                                                max_neighbors):
     parameters = SeerParameters(
-        prune_lookback=True, emit_compensation=True,
         lookback_window=lookback, compensation_distance=lookback,
         max_neighbors=max_neighbors)
     correlator = ingest(stream, parameters)
@@ -69,8 +68,7 @@ def test_round_trip_with_pruning_flags_enabled(stream, lookback,
 @settings(max_examples=15, deadline=None)
 @given(stream=streams)
 def test_clusters_survive_round_trip(stream):
-    parameters = SeerParameters(prune_lookback=True, emit_compensation=True,
-                                lookback_window=10,
+    parameters = SeerParameters(lookback_window=10,
                                 compensation_distance=10)
     correlator = ingest(stream, parameters)
     restored = load_correlator(dump_correlator(correlator),

@@ -59,7 +59,7 @@ def test_correlator_survives_any_stream(events):
 @given(_events)
 def test_correlator_deterministic(events):
     def run():
-        correlator = Correlator(SeerParameters(max_neighbors=5), seed=7)
+        correlator = Correlator(SeerParameters(max_neighbors=5))
         for seq, (pid, action, path, path2) in enumerate(events, start=1):
             correlator.handle(ObservedReference(
                 seq=seq, time=float(seq), pid=pid, action=action,

@@ -3,18 +3,21 @@
 An entry aged past the lookback window (and not currently open) can
 never again emit an in-window distance -- ages only grow, re-opens
 re-key the file, and stream merges preserve ages.  Pruning such entries
-(``prune_lookback=True``) must therefore produce exactly the same
-neighbor tables as the unpruned historical behaviour, as long as the
-compensation emission is disabled in both runs so the comparison
-isolates pruning itself.
+must therefore produce exactly the same neighbor tables as the
+unpruned historical behaviour, as long as the compensation emission is
+disabled in both runs so the comparison isolates pruning itself.  Both
+runs use the reference engine's seed modes (``tests/oracle.py``); the
+production engine, which always prunes, is held to the pruned
+reference by ``tests/core/test_equivalence.py``.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.correlator import Action, Correlator, ObservedReference
+from repro.core.correlator import Action, ObservedReference
 from repro.core.parameters import SeerParameters
+from tests.oracle import ReferenceCorrelator
 
 PATHS = [f"/f{i}" for i in range(8)]
 PIDS = [1, 2, 3]
@@ -32,10 +35,9 @@ _EVENTS = st.lists(
 
 
 def _run(events, prune):
-    parameters = SeerParameters(lookback_window=4, delete_delay=3,
-                                prune_lookback=prune,
-                                emit_compensation=False)
-    correlator = Correlator(parameters, seed=7)
+    parameters = SeerParameters(lookback_window=4, delete_delay=3)
+    correlator = ReferenceCorrelator(parameters, prune=prune,
+                                     compensate=False)
     for seq, (pid, action, path, path2) in enumerate(events, start=1):
         ppid = 1 if action is Action.FORK else 0
         correlator.handle(ObservedReference(

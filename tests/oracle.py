@@ -1,38 +1,238 @@
-"""Bounded per-file neighbor tables (paper section 3.1.3).
+"""The reference ingest engine: SEER's correlator transcribed directly.
 
-Storing all N^2 pairwise distances is prohibitive, so SEER keeps for
-each file only the distances to its n closest neighbors (n = 20).  When
-a new distance arrives for a full table, a replacement priority is
-applied:
+Production runs one ingest engine, the fused columnar arena of
+:mod:`repro.core.arena`.  This module keeps the paper's formulation
+beside it as the oracle the differential suites and benchmarks
+compare against:
 
-1. highest priority: an entry whose file is marked for deletion;
-2. otherwise the entry with the largest current distance is replaced,
-   ties broken randomly, but only if it is farther than the candidate;
-3. finally, an aging rule lets very old, inactive entries be replaced
-   by newer ones so the table can track changes in user behaviour and
-   shed incorrectly inferred relationships.
+* :class:`LifetimeDistanceCalculator` -- Definition 3 (section 3.1.1)
+  over one process's reference stream, emitting ``(from, to,
+  distance)`` tuples, with the lookback pruning and age-out
+  compensation of section 3.1.3 as switchable *seed modes*;
+* :class:`NeighborTable` / :class:`NeighborStore` -- the bounded
+  per-file neighbor tables of section 3.1.3 over per-entry
+  :class:`~repro.core.distance.DistanceSummary` objects;
+* :class:`ReferenceEngine` -- one calculator per process feeding the
+  store, re-dispatching every distance one at a time;
+* :class:`ReferenceCorrelator` -- a :class:`~repro.core.correlator.Correlator`
+  whose engine factory builds the above instead of the arena.
 
-Hot-path discipline: every table maintains an incrementally-updated
-*worst-entry bound* -- an upper bound on its largest summarized
-distance, refreshed for free from the raw observations.  Replacement
-decisions first test the candidate against the bound and only fall
-back to an exact scan (over cached means) when the bound says a
-replacement might be possible.  The store likewise keeps a reverse
-index of which tables contain each file, so renames and removals touch
-only the tables actually involved instead of walking every table.
+Tests and benchmarks import it as ``tests.oracle``; nothing under
+``src/`` can reach it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.core.distance import DistanceSummary
+from repro.core.correlator import Correlator
+from repro.core.distance import DistanceSummary, RefKind, Reference
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
 from repro.observability import Metrics
 
 
+# ----------------------------------------------------------------------
+# Definition 3: lifetime semantic distance
+# ----------------------------------------------------------------------
+class LifetimeDistanceCalculator:
+    """Definition 3: the measure SEER uses.
+
+    The distance from an open of file A to an open of file B is 0 if A
+    has not been closed before B is opened, and the number of
+    intervening file opens (including the open of B) otherwise.
+
+    The calculator processes a single reference stream (one process, in
+    SEER's per-process formulation of section 4.7).  Each call to
+    :meth:`open` reports the distances from previously-opened files to
+    the newly-opened one, using the most recent open of each earlier
+    file (the "closest pair" rule of footnote 1).
+
+    Bounded state (section 3.1.3): with a lookback window M set, an
+    entry whose most recent open has aged more than M opens into the
+    past can never again yield an in-window distance (ages only grow,
+    and a re-open re-keys the entry afresh), so it is *pruned* the
+    first time an open finds it aged out.  This bounds the per-open
+    cost by the window size plus the number of currently-open files,
+    instead of by every file the stream has ever touched.  At the
+    moment an entry ages out, its over-window distance is emitted once
+    (*compensate*), so the neighbor store can apply the paper's
+    compensation rule -- record distances beyond M as M -- rather than
+    silently losing the pair.  Files that are still open are exempt
+    from pruning: their distance is 0 regardless of age.
+
+    ``prune=False, compensate=False`` is the historical *seed mode*
+    (skip over-window pairs, forget nothing): the baseline of the
+    ingest-throughput benchmark and of the prune-equivalence property.
+    """
+
+    def __init__(self, lookback_window: Optional[int] = None,
+                 prune: bool = True, compensate: bool = True,
+                 metrics: Optional[Metrics] = None) -> None:
+        self._open_counter = 0
+        self._open_count: Dict[str, int] = {}       # currently-open fd count
+        self._last_open_index: Dict[str, int] = {}  # most recent open seq
+        self._lookback = lookback_window
+        self._prune = prune
+        self._compensate = compensate
+        self._metrics = metrics
+
+    @property
+    def opens_processed(self) -> int:
+        return self._open_counter
+
+    @property
+    def tracked_files(self) -> int:
+        """Entries currently held (bounded by M + open files when pruning)."""
+        return len(self._last_open_index)
+
+    def open(self, file: str) -> List[Tuple[str, str, int]]:
+        """Record an open of *file*; returns ``(from, to, distance)`` pairs."""
+        self._open_counter += 1
+        index = self._open_counter
+        lookback = self._lookback
+        open_count = self._open_count
+        results: List[Tuple[str, str, int]] = []
+        aged: List[str] = []
+        compensated = 0
+        for other, other_index in self._last_open_index.items():
+            if other == file:
+                continue
+            if other in open_count:
+                results.append((other, file, 0))
+                continue
+            distance = index - other_index
+            if lookback is not None and distance > lookback:
+                # Outside the update window (section 3.1.3).  Emit the
+                # over-window distance once so the neighbor store can
+                # record it as the compensation distance, then drop the
+                # entry: it can never re-enter the window.
+                if self._compensate:
+                    results.append((other, file, distance))
+                    compensated += 1
+                if self._prune:
+                    aged.append(other)
+                continue
+            results.append((other, file, distance))
+        if aged:
+            for other in aged:
+                del self._last_open_index[other]
+        if self._metrics is not None and (aged or compensated):
+            if aged:
+                self._metrics.incr("distance.pruned_entries", len(aged))
+            if compensated:
+                self._metrics.incr("distance.compensated_pairs", compensated)
+        self._last_open_index[file] = index
+        open_count[file] = open_count.get(file, 0) + 1
+        return results
+
+    def close(self, file: str) -> None:
+        """Record a close of *file* (tolerates unbalanced closes)."""
+        count = self._open_count.get(file, 0)
+        if count > 1:
+            self._open_count[file] = count - 1
+        elif count == 1:
+            # Drop the key entirely so the open-count map stays bounded
+            # by the number of *currently* open files.
+            del self._open_count[file]
+
+    def point_reference(self, file: str) -> List[Tuple[str, str, int]]:
+        """An open immediately followed by a close (sections 3.1.1, 4.8)."""
+        results = self.open(file)
+        self.close(file)
+        return results
+
+    def is_open(self, file: str) -> bool:
+        return self._open_count.get(file, 0) > 0
+
+    def forget(self, file: str) -> None:
+        """Drop all state about *file* (used after delayed deletion)."""
+        self._open_count.pop(file, None)
+        self._last_open_index.pop(file, None)
+
+    def rename(self, old: str, new: str) -> None:
+        """Re-key a file's stream state across a rename (section 4.8).
+
+        When both names are open (rename over a live destination), the
+        descriptors all refer to the surviving identity, so the open
+        counts are *summed* -- overwriting would lose open state and
+        make the file look closed while descriptors remain.
+        """
+        if old == new:
+            return
+        if old in self._open_count:
+            self._open_count[new] = (self._open_count.get(new, 0)
+                                     + self._open_count.pop(old))
+        if old in self._last_open_index:
+            index = self._last_open_index.pop(old)
+            self._last_open_index[new] = max(
+                index, self._last_open_index.get(new, 0))
+
+    def clone(self) -> "LifetimeDistanceCalculator":
+        """Copy for a forked child, which inherits the parent's history
+        (section 4.7)."""
+        copy = LifetimeDistanceCalculator(
+            lookback_window=self._lookback, prune=self._prune,
+            compensate=self._compensate, metrics=self._metrics)
+        copy._open_counter = self._open_counter
+        copy._open_count = dict(self._open_count)
+        copy._last_open_index = dict(self._last_open_index)
+        return copy
+
+    def merge_from(self, child: "LifetimeDistanceCalculator", since: int = 0) -> None:
+        """Absorb a child stream's history on process exit (section 4.7).
+
+        *since* is the child's open counter at fork time; entries at or
+        below it were inherited from the parent and need no merging.
+        The parent's counter advances by the number of opens the child
+        performed, and the child's post-fork opens are mapped onto the
+        parent's timeline at their relative positions.  This lets SEER
+        "detect extended relationships between files referenced by a
+        process and by its parent" while still aging the parent's own
+        older references correctly.  Open counts do not transfer: the
+        kernel drops a dead child's descriptors.
+        """
+        new_opens = max(0, child._open_counter - since)
+        base = self._open_counter
+        self._open_counter = base + new_opens
+        for file, child_index in child._last_open_index.items():
+            if child_index <= since:
+                continue
+            mapped = base + (child_index - since)
+            if mapped > self._last_open_index.get(file, -1):
+                self._last_open_index[file] = mapped
+
+    def process_events(self, events: Iterable[Reference]) -> List[Tuple[str, str, int]]:
+        """Run a whole event stream; convenience for tests and replay."""
+        out: List[Tuple[str, str, int]] = []
+        for event in events:
+            if event.kind is RefKind.OPEN:
+                out.extend(self.open(event.file))
+            else:
+                self.close(event.file)
+        return out
+
+
+# ----------------------------------------------------------------------
+# Bounded per-file neighbor tables (paper section 3.1.3)
+#
+# Storing all N^2 pairwise distances is prohibitive, so SEER keeps for
+# each file only the distances to its n closest neighbors (n = 20).
+# When a new distance arrives for a full table, a replacement priority
+# is applied:
+#
+# 1. highest priority: an entry whose file is marked for deletion;
+# 2. otherwise the entry with the largest current distance is
+#    replaced, ties broken to the smallest name, but only if it is
+#    farther than the candidate;
+# 3. finally, an aging rule lets very old, inactive entries be replaced
+#    by newer ones so the table can track changes in user behaviour and
+#    shed incorrectly inferred relationships.
+#
+# Every table keeps an incrementally-updated worst-entry bound, and the
+# store a reverse index of which tables contain each file, exactly as
+# the arena does, so the two reach the same state by the same route.
+# ----------------------------------------------------------------------
 class NeighborTable:
     """The n-nearest-neighbor list of a single file."""
 
@@ -391,3 +591,104 @@ class NeighborStore:
             if fresh:
                 lists[file] = fresh
         return lists
+
+
+# ----------------------------------------------------------------------
+# The reference engine
+# ----------------------------------------------------------------------
+class ReferenceEngine:
+    """The oracle ingest engine: per-pid calculators over a NeighborStore.
+
+    Distances are materialized as ``(from, to, distance)`` tuples and
+    re-dispatched through ``NeighborStore.observe`` one at a time --
+    exactly the paper's formulation, at per-entry object cost.  The
+    columnar engine must match this path's state bit for bit.
+    """
+
+    def __init__(self, store: NeighborStore, parameters: SeerParameters,
+                 metrics: Metrics, prune: bool = True,
+                 compensate: bool = True) -> None:
+        self._store = store
+        self._parameters = parameters
+        self._metrics = metrics
+        self._prune = prune
+        self._compensate = compensate
+        self._calculators: Dict[int, LifetimeDistanceCalculator] = {}
+
+    def _new_calculator(self) -> LifetimeDistanceCalculator:
+        return LifetimeDistanceCalculator(
+            lookback_window=self._parameters.lookback_window,
+            prune=self._prune, compensate=self._compensate,
+            metrics=self._metrics)
+
+    def _calculator(self, pid: int) -> LifetimeDistanceCalculator:
+        calculator = self._calculators.get(pid)
+        if calculator is None:
+            calculator = self._calculators[pid] = self._new_calculator()
+        return calculator
+
+    def ensure(self, pid: int) -> None:
+        self._calculator(pid)
+
+    def fork(self, pid: int, ppid: int) -> int:
+        if ppid:
+            calculator = self._calculator(ppid).clone()
+        else:
+            calculator = self._new_calculator()
+        self._calculators[pid] = calculator
+        return calculator.opens_processed
+
+    def exit(self, pid: int, merge_ppid: int, since: int) -> None:
+        calculator = self._calculators.pop(pid, None)
+        if calculator is None or not merge_ppid:
+            return
+        parent = self._calculators.get(merge_ppid)
+        if parent is not None:
+            parent.merge_from(calculator, since=since)
+
+    def open(self, pid: int, path: str, now: int) -> None:
+        self._ingest(self._calculator(pid).open(path), now)
+
+    def point(self, pid: int, path: str, now: int) -> None:
+        self._ingest(self._calculator(pid).point_reference(path), now)
+
+    def close(self, pid: int, path: str) -> None:
+        self._calculator(pid).close(path)
+
+    def rename(self, old: str, new: str) -> None:
+        for calculator in self._calculators.values():
+            calculator.rename(old, new)
+
+    def forget(self, path: str) -> None:
+        for calculator in self._calculators.values():
+            calculator.forget(path)
+
+    def _ingest(self, distances: List[Tuple[str, str, int]], now: int) -> None:
+        if distances:
+            self._metrics.incr("correlator.distances_ingested", len(distances))
+        for from_file, to_file, distance in distances:
+            self._store.observe(from_file, to_file, float(distance), now=now)
+
+
+# ----------------------------------------------------------------------
+# The oracle correlator
+# ----------------------------------------------------------------------
+class ReferenceCorrelator(Correlator):
+    """A correlator whose engine is the reference transcription.
+
+    ``prune=False, compensate=False`` selects the calculators' seed
+    mode; the defaults match what the production engine always does.
+    """
+
+    def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
+                 metrics: Optional[Metrics] = None, prune: bool = True,
+                 compensate: bool = True) -> None:
+        self._prune = prune
+        self._compensate = compensate
+        super().__init__(parameters, metrics=metrics)
+
+    def _build_engine(self):
+        store = NeighborStore(self._parameters, metrics=self.metrics)
+        return store, ReferenceEngine(store, self._parameters, self.metrics,
+                                      prune=self._prune,
+                                      compensate=self._compensate)

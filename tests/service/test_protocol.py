@@ -74,6 +74,14 @@ def test_reference_wire_round_trip():
     [1, "t", 1, "open", "/a", "", 0],                # time not number
     [1, 1.0, 1, "meow", "/a", "", 0],                # unknown action
     [1, 1.0, 1, "open", 7, "", 0],                   # path not str
+    [1, float("nan"), 1, "open", "/a", "", 0],       # time NaN
+    [1, float("inf"), 1, "open", "/a", "", 0],       # time infinite
+    [1, float("-inf"), 1, "open", "/a", "", 0],      # time -infinite
+    [True, 1.0, 1, "open", "/a", "", 0],             # seq bool
+    [1, 1.0, False, "open", "/a", "", 0],            # pid bool
+    [1, 1.0, 1, "fork", "/a", "", True],             # ppid bool
+    [0, 1.0, 1, "open", "/a", "", 0],                # seq 0
+    [-3, 1.0, 1, "open", "/a", "", 0],               # seq negative
 ])
 def test_reference_from_wire_rejects_malformed(wire):
     with pytest.raises(protocol.ProtocolError) as excinfo:
