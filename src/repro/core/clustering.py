@@ -27,7 +27,7 @@ sufficiently strong relation can force files into one cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -135,6 +135,11 @@ class ClusterSet:
 
 
 SharedCountFunction = Callable[[str, str], float]
+
+#: A full pass's result before assembly: root -> sorted members, file
+#: -> root, and the phase-2 pairs.
+Bookkeeping = Tuple[Dict[str, List[str]], Dict[str, str],
+                    Set[Tuple[str, str]]]
 
 
 class SharedNeighborClustering:
@@ -251,59 +256,85 @@ class SharedNeighborClustering:
     # ------------------------------------------------------------------
     # the two phases
     # ------------------------------------------------------------------
-    def cluster(self) -> ClusterSet:
-        """Run both phases and return the final overlapping clusters."""
+    def thresholds(self) -> Tuple[float, float]:
+        """The (near, far) thresholds the effective counts meet."""
+        if self._parameters.normalize_shared_counts:
+            return self._parameters.kn_fraction, self._parameters.kf_fraction
+        return float(self._parameters.kn), float(self._parameters.kf)
+
+    def full_pass(self) -> Bookkeeping:
+        """Run both phases over every examined pair.
+
+        Returns the bookkeeping :func:`assemble` turns into clusters
+        (and the incremental reclusterer keeps between builds):
+        phase-1 components as root -> members in sorted order, each
+        file's root, and the oriented pairs that qualify for phase-2
+        overlap (kf <= count < kn, distinct components).
+        """
         files: List[str] = sorted(
             set(self._neighbors)
             | {n for ns in self._neighbors.values() for n in ns}
             | {f for pair in self._relation_strength for f in pair})
         parent: Dict[str, str] = {file: file for file in files}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: str, b: str) -> None:
-            root_a, root_b = find(a), find(b)
-            if root_a != root_b:
-                parent[root_b] = root_a
-
         pairs = self.examined_pairs()
         counts = {pair: self.effective_count(*pair) for pair in pairs}
-        if self._parameters.normalize_shared_counts:
-            near = self._parameters.kn_fraction
-            far = self._parameters.kf_fraction
-        else:
-            near, far = self._parameters.kn, self._parameters.kf
+        near, far = self.thresholds()
 
         # Phase 1: combine clusters for pairs sharing >= kn neighbors.
         for pair in pairs:
             if counts[pair] >= near:
-                union(*pair)
+                union(parent, *pair)
 
-        result = ClusterSet()
-        groups: Dict[str, List[str]] = {}
+        components: Dict[str, List[str]] = {}
+        comp_of: Dict[str, str] = {}
         for file in files:
-            groups.setdefault(find(file), []).append(file)
-        cluster_of_root: Dict[str, int] = {}
-        for root, members in sorted(groups.items()):
-            cluster_of_root[root] = result.new_cluster(members)
+            root = find(parent, file)
+            components.setdefault(root, []).append(file)
+            comp_of[file] = root
 
         # Phase 2: overlap (but do not combine) clusters for pairs with
-        # kf <= shared < kn.  Additions are computed against the
+        # kf <= shared < kn.  Qualification is decided against the
         # phase-1 membership so processing order cannot matter.
-        additions: List[Tuple[int, str]] = []
-        for (file, other) in pairs:
-            count = counts[(file, other)]
-            if far <= count < near:
-                if find(file) == find(other):
-                    continue  # already in the same cluster
-                additions.append((cluster_of_root[find(other)], file))
-                additions.append((cluster_of_root[find(file)], other))
-        for cluster_id, file in additions:
-            result.add_member(cluster_id, file)
-        result.deduplicate()
-        return result
+        phase2 = {pair for pair in pairs
+                  if far <= counts[pair] < near
+                  and comp_of[pair[0]] != comp_of[pair[1]]}
+        return components, comp_of, phase2
 
+    def cluster(self) -> ClusterSet:
+        """Run both phases and return the final overlapping clusters."""
+        return assemble(*self.full_pass())
+
+
+def find(parent: Dict[str, str], x: str) -> str:
+    """Union-find root of *x*, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union(parent: Dict[str, str], a: str, b: str) -> None:
+    """Merge the components of *a* and *b*; *a*'s root survives."""
+    root_a, root_b = find(parent, a), find(parent, b)
+    if root_a != root_b:
+        parent[root_b] = root_a
+
+
+def assemble(components: Dict[str, List[str]], comp_of: Dict[str, str],
+             phase2: Set[Tuple[str, str]]) -> ClusterSet:
+    """Materialize a pass's bookkeeping as a ClusterSet.
+
+    Cluster ids are assigned by sorted root; members were recorded in
+    globally sorted order; phase-2 additions are set-inserts applied
+    in sorted-pair order; deduplicate() is deterministic given content
+    and ids.  So equal bookkeeping gives identical clusters and ids.
+    """
+    result = ClusterSet()
+    cluster_of_root: Dict[str, int] = {}
+    for root in sorted(components):
+        cluster_of_root[root] = result.new_cluster(components[root])
+    for file, other in sorted(phase2):
+        result.add_member(cluster_of_root[comp_of[other]], file)
+        result.add_member(cluster_of_root[comp_of[file]], other)
+    result.deduplicate()
+    return result

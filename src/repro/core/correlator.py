@@ -97,7 +97,7 @@ class Correlator:
         self._parameters = parameters
         self.metrics = metrics if metrics is not None else Metrics()
         self.store, self._engine = self._build_engine()
-        self._clusterer = IncrementalClusterer(parameters, self.metrics)
+        self._clusterer = IncrementalClusterer(self.metrics)
         self._prev_exclude: FrozenSet[str] = frozenset()
         self._streams: Dict[int, _ProcessStream] = {}
         self._recency: Dict[str, int] = {}

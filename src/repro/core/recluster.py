@@ -13,8 +13,9 @@ figure-2 outputs are byte-compared in CI.
 Why the splice is exact (the replay argument)
 ---------------------------------------------
 
-The full pass (:meth:`SharedNeighborClustering.cluster`) is built from
-pieces that are all *regional* in character:
+The full pass (:meth:`SharedNeighborClustering.full_pass`, assembled
+by :func:`~repro.core.clustering.assemble`) is built from pieces that
+are all *regional* in character:
 
 * A pair's effective count depends only on the two endpoint neighbor
   sets (plus static relations/directory distance), so a pair's count
@@ -37,19 +38,24 @@ So the splice: take the drained dirty set, close it over neighbor
 lists, reverse index, relations and previous components into a region;
 replay the region's pairs in sorted order; keep every component and
 phase-2 pair outside the region from the previous build's bookkeeping;
-reassemble.  Any observation that contradicts the invariants above --
-a qualifying pair crossing the region boundary, a file with no
-recorded component -- falls back to a full rebuild (counted in
-``recluster.full_builds``) rather than risking drift.  The
-fast==reference equivalence suite and the interleaved-build property
-tests in ``tests/core/`` fence the whole construction.
+reassemble through the same ``assemble``.  Any observation that
+contradicts the invariants above -- a qualifying pair crossing the
+region boundary, a file with no recorded component -- falls back to a
+full rebuild (counted in ``recluster.full_builds``) rather than risking
+drift.  That fallback is the very full pass the splice is checked
+against: the equivalence suite and the interleaved-build property
+tests in ``tests/core/`` compare every splice with
+``SharedNeighborClustering.cluster()``, which is ``assemble`` over
+``full_pass``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.clustering import ClusterSet, Relation, SharedNeighborClustering
+from repro.core.clustering import (ClusterSet, Relation,
+                                   SharedNeighborClustering, assemble, find,
+                                   union)
 from repro.core.parameters import SeerParameters
 from repro.observability import Metrics
 
@@ -79,9 +85,7 @@ class IncrementalClusterer:
       rebuild, since counts shift globally.
     """
 
-    def __init__(self, parameters: SeerParameters,
-                 metrics: Optional[Metrics] = None) -> None:
-        self._parameters = parameters
+    def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self._metrics = metrics
         self._comp_of: Dict[str, str] = {}
         self._components: Dict[str, List[str]] = {}
@@ -118,86 +122,20 @@ class IncrementalClusterer:
                  or owners_of is None)
         if not fresh:
             try:
-                result = self._splice(algorithm, neighbor_lists, dirty,
-                                      parameters, owners_of)
+                self._splice(algorithm, neighbor_lists, dirty, owners_of)
                 if self._metrics is not None:
                     self._metrics.incr("recluster.incremental_builds")
-                return result
+                return assemble(self._components, self._comp_of,
+                                self._phase2)
             except _FullRebuild:
                 pass
-        result = self._full_build(algorithm, neighbor_lists, parameters)
+        self._components, self._comp_of, self._phase2 = algorithm.full_pass()
         self._prev_relations = relations_tuple
         self._prev_distance_fn = directory_distance
         self._prev_parameters = parameters
         if self._metrics is not None:
             self._metrics.incr("recluster.full_builds")
-        return result
-
-    # ------------------------------------------------------------------
-    # shared assembly: bookkeeping -> ClusterSet
-    # ------------------------------------------------------------------
-    def _assemble(self) -> ClusterSet:
-        """Materialize the ClusterSet exactly as the full pass would.
-
-        Cluster ids are assigned by sorted root; members were recorded
-        in globally sorted order; phase-2 additions are set-inserts, so
-        applying them in sorted-pair order reproduces the full pass's
-        content; deduplicate() is deterministic given content and ids.
-        """
-        result = ClusterSet()
-        cluster_of_root: Dict[str, int] = {}
-        for root in sorted(self._components):
-            cluster_of_root[root] = result.new_cluster(self._components[root])
-        comp_of = self._comp_of
-        for file, other in sorted(self._phase2):
-            result.add_member(cluster_of_root[comp_of[other]], file)
-            result.add_member(cluster_of_root[comp_of[file]], other)
-        result.deduplicate()
-        return result
-
-    # ------------------------------------------------------------------
-    # the full pass, with bookkeeping captured
-    # ------------------------------------------------------------------
-    def _full_build(self, algorithm: SharedNeighborClustering,
-                    neighbor_lists: Dict[str, Set[str]],
-                    parameters: SeerParameters) -> ClusterSet:
-        relation_strength = algorithm.relation_strength
-        files: List[str] = sorted(
-            set(neighbor_lists)
-            | {n for ns in neighbor_lists.values() for n in ns}
-            | {f for pair in relation_strength for f in pair})
-        parent: Dict[str, str] = {file: file for file in files}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        pairs = algorithm.examined_pairs()
-        counts = {pair: algorithm.effective_count(*pair) for pair in pairs}
-        near, far = _thresholds(parameters)
-
-        for pair in pairs:
-            if counts[pair] >= near:
-                root_a, root_b = find(pair[0]), find(pair[1])
-                if root_a != root_b:
-                    parent[root_b] = root_a
-
-        self._components = {}
-        self._comp_of = {}
-        for file in files:
-            root = find(file)
-            self._components.setdefault(root, []).append(file)
-            self._comp_of[file] = root
-
-        self._phase2 = set()
-        for pair in pairs:
-            count = counts[pair]
-            if far <= count < near:
-                if self._comp_of[pair[0]] != self._comp_of[pair[1]]:
-                    self._phase2.add(pair)
-        return self._assemble()
+        return assemble(self._components, self._comp_of, self._phase2)
 
     # ------------------------------------------------------------------
     # the incremental splice
@@ -205,10 +143,10 @@ class IncrementalClusterer:
     def _splice(self, algorithm: SharedNeighborClustering,
                 neighbor_lists: Dict[str, Set[str]],
                 dirty: Set[str],
-                parameters: SeerParameters,
-                owners_of: Callable[[str], Set[str]]) -> ClusterSet:
+                owners_of: Callable[[str], Set[str]]) -> None:
+        """Recompute the bookkeeping of the region *dirty* touches."""
         if not dirty:
-            return self._assemble()
+            return
         relation_strength = algorithm.relation_strength
         relation_files: Set[str] = {f for pair in relation_strength
                                     for f in pair}
@@ -265,7 +203,7 @@ class IncrementalClusterer:
             if first in region or second in region:
                 pairs.append(pair)
         counts = {pair: algorithm.effective_count(*pair) for pair in pairs}
-        near, far = _thresholds(parameters)
+        near, far = algorithm.thresholds()
 
         # -- which region files are still in the clustering universe --
         present: Set[str] = set()
@@ -280,13 +218,6 @@ class IncrementalClusterer:
 
         # -- phase-1 replay over the region ----------------------------
         parent: Dict[str, str] = {file: file for file in sorted(present)}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for pair in pairs:
             if counts[pair] >= near:
                 if pair[0] not in parent or pair[1] not in parent:
@@ -295,9 +226,7 @@ class IncrementalClusterer:
                     # shared a component last build and would both be
                     # here).  Don't guess -- rebuild.
                     raise _FullRebuild
-                root_a, root_b = find(pair[0]), find(pair[1])
-                if root_a != root_b:
-                    parent[root_b] = root_a
+                union(parent, *pair)
 
         # -- splice bookkeeping ----------------------------------------
         # Components touching the region are wholly inside it (by the
@@ -309,7 +238,7 @@ class IncrementalClusterer:
             for member in self._components.pop(root):
                 del self._comp_of[member]
         for file in sorted(present):
-            root = find(file)
+            root = find(parent, file)
             self._components.setdefault(root, []).append(file)
             self._comp_of[file] = root
 
@@ -325,10 +254,3 @@ class IncrementalClusterer:
                     raise _FullRebuild
                 if root_a != root_b:
                     self._phase2.add(pair)
-        return self._assemble()
-
-
-def _thresholds(parameters: SeerParameters) -> Tuple[float, float]:
-    if parameters.normalize_shared_counts:
-        return parameters.kn_fraction, parameters.kf_fraction
-    return float(parameters.kn), float(parameters.kf)

@@ -5,7 +5,7 @@ same pipeline runs *online*: a :class:`~repro.service.daemon.HoardDaemon`
 accepts classified trace references from many concurrent clients over
 a newline-delimited-JSON protocol (``docs/service.md``), maintains one
 correlator + clustering state per tenant behind an actor-per-tenant
-model sharded across a bounded worker pool, and answers ``hoard_fill``
+model (one draining task per tenant), and answers ``hoard_fill``
 and ``stats`` requests against the live state.
 
 The split follows the paper's own architecture: SEER's observer is the

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.clustering import ClusterSet
 from repro.core.correlator import Action, ObservedReference
 from repro.core.hoard import HoardSelection
+from repro.fs.paths import normalize
 
 #: Bump when a message changes shape.  The daemon answers requests
 #: carrying another version with an ``unsupported-version`` error and
@@ -154,6 +155,16 @@ def reference_from_wire(data: object) -> ObservedReference:
     except ValueError:
         raise ProtocolError("bad-event",
                             f"unknown action {action!r}") from None
+    # The batch path only ever sees the observer's normalized paths, so
+    # anything else would make online and batch state diverge.
+    for name, value in (("path", path), ("path2", path2)):
+        if value and normalize(value) != value:
+            raise ProtocolError("bad-event",
+                                f"{name} is not canonical in {data!r}")
+    if not path and parsed not in (Action.FORK, Action.EXIT):
+        raise ProtocolError("bad-event", f"{action} needs a path in {data!r}")
+    if not path2 and parsed is Action.RENAME:
+        raise ProtocolError("bad-event", f"rename needs a path2 in {data!r}")
     return ObservedReference(seq=seq, time=float(time), pid=pid,
                              action=parsed, path=path, path2=path2,
                              ppid=ppid)

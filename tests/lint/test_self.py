@@ -137,7 +137,7 @@ class TestPR10Regressions:
     def test_rl010_await_under_metrics_lock(self, tmp_path):
         # Narrowly avoided: Metrics.timed is carefully written to not
         # hold _lock across the yield.  Holding it across an await
-        # (every shard worker would serialize on the store flush) must
+        # (every tenant task would serialize on the store flush) must
         # be caught.
         source = real_source("observability", "metrics.py")
         seeded = source + (

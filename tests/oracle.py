@@ -23,7 +23,6 @@ Tests and benchmarks import it as ``tests.oracle``; nothing under
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.correlator import Correlator
@@ -237,14 +236,12 @@ class NeighborTable:
     """The n-nearest-neighbor list of a single file."""
 
     def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
-                 rng: Optional[random.Random] = None,
                  owner: Optional[str] = None,
                  index: Optional[Dict[str, Set[str]]] = None,
                  dirty: Optional[Set[str]] = None,
                  metrics: Optional[Metrics] = None) -> None:
         self._parameters = parameters
         self._entries: Dict[str, DistanceSummary] = {}
-        self._rng = rng if rng is not None else random.Random(0)
         # Upper bound on the largest summarized distance in the table.
         # Maintained incrementally (means never exceed the largest raw
         # observation); tightened to the exact maximum whenever a
@@ -394,8 +391,8 @@ class NeighborTable:
         # 2. The entry with the largest current distance, replaced only
         #    if farther than the candidate.  Ties break to the smallest
         #    name: the choice must be a pure function of table state so
-        #    the columnar engine (which never draws from a per-table
-        #    rng) evicts the same victim as this reference path.  If
+        #    the columnar engine evicts the same victim as this
+        #    reference path.  If
         #    the incremental bound already rules a replacement out, the
         #    exact maximum cannot exceed the candidate either and the
         #    scan is skipped entirely.
@@ -448,10 +445,9 @@ class NeighborStore:
     """All per-file neighbor tables, plus the deletion-mark set."""
 
     def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
-                 seed: int = 0, metrics: Optional[Metrics] = None) -> None:
+                 metrics: Optional[Metrics] = None) -> None:
         self._parameters = parameters
         self._tables: Dict[str, NeighborTable] = {}
-        self._rng = random.Random(seed)
         self._metrics = metrics
         self.marked_for_deletion: Set[str] = set()
         # Reverse index: file -> owners whose tables list it as a
@@ -470,9 +466,7 @@ class NeighborStore:
     def table(self, file: str) -> NeighborTable:
         existing = self._tables.get(file)
         if existing is None:
-            existing = NeighborTable(self._parameters,
-                                     rng=random.Random(self._rng.random()),
-                                     owner=file, index=self._containing,
+            existing = NeighborTable(self._parameters, owner=file, index=self._containing,
                                      dirty=self._dirty,
                                      metrics=self._metrics)
             self._tables[file] = existing

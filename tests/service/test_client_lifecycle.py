@@ -15,7 +15,18 @@ import pytest
 from repro.service.client import ServiceClient
 from repro.service.daemon import HoardDaemon
 
-from tests.service.helpers import client_for, daemon_on_socket, run_async
+from tests.service.helpers import (
+    client_for,
+    daemon_on_socket,
+    references_from_stream,
+    run_async,
+)
+
+
+def tenant_tasks():
+    """The live tasks draining tenant inboxes (named by the daemon)."""
+    return [task for task in asyncio.all_tasks()
+            if task.get_name().startswith("hoard-tenant-")]
 
 
 async def handshake_refusing_server(socket_path, saw_eof):
@@ -90,7 +101,7 @@ def test_close_without_connect_is_a_noop():
 
 async def failed_start_unwinds_and_allows_retry(tmp_path):
     daemon = HoardDaemon(checkpoint_dir=str(tmp_path / "ckpt"),
-                         store_backend="json", shards=2)
+                         store_backend="json")
     missing = os.path.join(str(tmp_path), "no", "such", "dir", "s.sock")
     with pytest.raises(OSError):
         await daemon.start(unix_path=missing)
@@ -98,18 +109,22 @@ async def failed_start_unwinds_and_allows_retry(tmp_path):
     assert daemon._server is None
     assert daemon._store is None
     assert daemon._io is None
-    assert daemon._workers == []
+    assert tenant_tasks() == []
     # The same daemon object can start again on a good path.
     good = os.path.join(str(tmp_path), "svc.sock")
     await daemon.start(unix_path=good)
     try:
         client = client_for("t", good)
         assert await client.ping()
+        await client.send_events(references_from_stream(
+            [("open", 1, "/t/a", "", 0)]), stamp=False)
+        assert len(tenant_tasks()) == 1
         await client.close()
     finally:
         await daemon.stop()
     assert daemon._io is None
     assert daemon._store is None
+    assert tenant_tasks() == []
 
 
 def test_failed_start_unwinds_and_allows_retry(tmp_path):

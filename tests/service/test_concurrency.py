@@ -6,14 +6,17 @@ and concurrently through one daemon must each land on state
 byte-identical to K independent single-tenant batch replays.  The
 backpressure tests pin the bounded-inbox contract: a submission beyond
 the bound blocks (it does not drop, error, or grow the queue) until
-the worker drains, and the stall is counted.
+the tenant's task drains, and the stall is counted.  Each tenant's
+task stalls only that tenant: a checkpoint blocked on the IO thread
+leaves every other tenant served.
 """
 
 import asyncio
+import threading
 
 from repro.core.correlator import Action, ObservedReference
-from repro.service.daemon import HoardDaemon
-from repro.service.tenant import EventBatch, batch_hoard_fill
+from repro.service.tenant import (CheckpointRequest, EventBatch,
+                                  batch_hoard_fill)
 from repro.simulation.serde import canonical_bytes
 
 from tests.service.helpers import (
@@ -46,12 +49,12 @@ async def interleaved_session(tmp_path, concurrent):
 
     With ``concurrent=False`` batches are strictly interleaved
     round-robin on one task; with ``concurrent=True`` every tenant
-    runs its own client task flat-out and the daemon's worker pool
-    schedules them.
+    runs its own client task flat-out against the daemon's per-tenant
+    tasks.
     """
     streams = {tenant: stream_for(tenant) for tenant in TENANTS}
     fills = {}
-    async with daemon_on_socket(tmp_path, shards=2) as (daemon, socket_path):
+    async with daemon_on_socket(tmp_path) as (daemon, socket_path):
         clients = {tenant: client_for(tenant, socket_path)
                    for tenant in TENANTS}
         for client in clients.values():
@@ -118,48 +121,124 @@ def _reference(seq):
                              action=Action.OPEN, path="/x/y")
 
 
-async def submit_beyond_bound():
+class PutGate:
+    """Holds each checkpoint-store ``put`` on the daemon's IO thread
+    until the test lets it through: a real stall of whatever task
+    awaits the checkpoint."""
+
+    def __init__(self, daemon):
+        store = daemon._store
+        self._put = store.put
+        self._passes = 0.0
+        self._condition = threading.Condition()
+        self.entered = threading.Event()
+        store.put = self.put
+
+    def put(self, *args):
+        self.entered.set()
+        with self._condition:
+            self._condition.wait_for(lambda: self._passes > 0, timeout=30)
+            self._passes -= 1
+        return self._put(*args)
+
+    def allow(self, count=float("inf")):
+        with self._condition:
+            self._passes += count
+            self._condition.notify_all()
+
+
+async def until(predicate, timeout=5.0):
+    """Yield to the loop until *predicate* holds (or fail)."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.001)
+
+
+async def submit_beyond_bound(tmp_path):
     """A submission past the inbox bound blocks until the queue drains."""
-    daemon = HoardDaemon(queue_bound=2, shards=1)
-    # No started server: wire the run queue by hand so no worker drains
-    # the inbox behind our back.
-    daemon._run_queues = [asyncio.Queue()]
-    actor = daemon.actor_for("t")
+    async with daemon_on_socket(tmp_path, queue_bound=2,
+                                checkpoint_dir=str(tmp_path / "ckpt")) \
+            as (daemon, _):
+        gate = PutGate(daemon)
+        actor = daemon.actor_for("t")
+        loop = asyncio.get_running_loop()
+        first, second = (CheckpointRequest(future=loop.create_future())
+                         for _ in range(2))
+        # The tenant's task takes the first checkpoint and stalls on
+        # the IO thread, so nothing drains the inbox behind our back.
+        await daemon.submit(actor, first)
+        await until(gate.entered.is_set)
 
-    await daemon.submit(actor, EventBatch([_reference(1)]))
-    await daemon.submit(actor, EventBatch([_reference(2)]))
-    assert daemon.metrics.counter("service.queue_full_waits") == 0
+        await daemon.submit(actor, second)
+        await daemon.submit(actor, EventBatch([_reference(1)]))
+        assert daemon.metrics.counter("service.queue_full_waits") == 0
 
-    blocked = asyncio.get_running_loop().create_task(
-        daemon.submit(actor, EventBatch([_reference(3)])))
-    await asyncio.sleep(0.01)
-    assert not blocked.done()            # bounded: the producer stalls
-    assert actor.inbox.qsize() == 2      # ...and nothing was dropped
-    assert daemon.metrics.counter("service.queue_full_waits") == 1
+        blocked = loop.create_task(
+            daemon.submit(actor, EventBatch([_reference(2)])))
+        await asyncio.sleep(0.01)
+        assert not blocked.done()            # bounded: the producer stalls
+        assert actor.inbox.qsize() == 2      # ...and nothing was dropped
+        assert daemon.metrics.counter("service.queue_full_waits") == 1
 
-    actor.inbox.get_nowait()             # worker frees one slot
-    actor.inbox.task_done()
-    await asyncio.sleep(0.01)
-    assert blocked.done()                # the stalled producer resumed
-    assert actor.inbox.qsize() == 2
-    # The actor was scheduled exactly once despite three submissions.
-    assert daemon._run_queues[0].qsize() == 1
+        # One put through: the task finishes the first checkpoint and
+        # takes the second off the inbox, freeing exactly one slot.
+        gate.allow(1)
+        await asyncio.wait_for(first.future, timeout=5)
+        await asyncio.wait_for(blocked, timeout=5)  # the producer resumed
+        assert actor.inbox.qsize() == 2
+        assert not second.future.done()
+
+        gate.allow()
+        await asyncio.wait_for(second.future, timeout=5)
+        await asyncio.wait_for(actor.inbox.join(), timeout=5)
+        assert actor.events_ingested == 2
 
 
-def test_backpressure_blocks_at_queue_bound():
-    run_async(submit_beyond_bound())
+def test_backpressure_blocks_at_queue_bound(tmp_path):
+    run_async(submit_beyond_bound(tmp_path))
+
+
+async def checkpoint_stalls_only_its_tenant(tmp_path):
+    """Tenant A's checkpoint blocked on the IO thread must not delay
+    tenant B's fill: each tenant's inbox is drained by its own task."""
+    async with daemon_on_socket(tmp_path,
+                                checkpoint_dir=str(tmp_path / "ckpt")) \
+            as (daemon, socket_path):
+        async with client_for("a", socket_path) as client_a, \
+                client_for("b", socket_path) as client_b:
+            # Both tenants exist before the IO thread is blocked: first
+            # contact reads the checkpoint store on that thread.
+            await client_a.send_events(stream_for("alpha"), stamp=False)
+            await client_b.send_events(stream_for("beta"), stamp=False)
+            gate = PutGate(daemon)
+            checkpoint = asyncio.get_running_loop().create_task(
+                client_a.checkpoint())
+            await until(gate.entered.is_set)
+            fill = await asyncio.wait_for(client_b.hoard_fill(BUDGET),
+                                          timeout=10)
+            assert canonical_bytes(fill) == canonical_bytes(
+                batch_hoard_fill(stream_for("beta"), BUDGET))
+            assert not checkpoint.done()
+            gate.allow()
+            assert (await asyncio.wait_for(checkpoint, timeout=10))[
+                "checkpointed"] == "a"
+
+
+def test_checkpoint_stalls_only_its_own_tenant(tmp_path):
+    run_async(checkpoint_stalls_only_its_tenant(tmp_path))
 
 
 async def contended_worker_pool(tmp_path):
-    """Every tenant flat-out through ONE shard worker and tiny inboxes:
-    submissions must backpressure (block), never drop, and every
-    tenant must end exactly convergent with its solo replay.
+    """Every tenant flat-out with tiny inboxes: submissions must
+    backpressure (block), never drop, and every tenant must end
+    exactly convergent with its solo replay.
 
     (Each tenant still has exactly one writer -- the wire contract;
-    the contention here is tenants racing for the single worker.)
+    the contention here is tenants racing for the one event loop.)
     """
     fills = {}
-    async with daemon_on_socket(tmp_path, queue_bound=2, shards=1) \
+    async with daemon_on_socket(tmp_path, queue_bound=2) \
             as (daemon, socket_path):
 
         async def drive(tenant):

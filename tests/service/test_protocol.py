@@ -82,6 +82,13 @@ def test_reference_wire_round_trip():
     [1, 1.0, 1, "fork", "/a", "", True],             # ppid bool
     [0, 1.0, 1, "open", "/a", "", 0],                # seq 0
     [-3, 1.0, 1, "open", "/a", "", 0],               # seq negative
+    [1, 1.0, 1, "open", "", "", 0],                  # empty path
+    [1, 1.0, 1, "open", "../../x", "", 0],           # relative path
+    [1, 1.0, 1, "open", "/a/../b", "", 0],           # unresolved ..
+    [1, 1.0, 1, "rename", "/a", "", 0],              # rename, no path2
+    [1, 1.0, 1, "open", "/a//b", "", 0],             # doubled slash
+    [1, 1.0, 1, "open", "/a/b/", "", 0],             # trailing slash
+    [1, 1.0, 1, "rename", "/a", "b", 0],             # relative path2
 ])
 def test_reference_from_wire_rejects_malformed(wire):
     with pytest.raises(protocol.ProtocolError) as excinfo:
